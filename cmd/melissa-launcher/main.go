@@ -47,8 +47,6 @@ func main() {
 	groupNodes := flag.Int("group-nodes", 1, "nodes per group job")
 	ckptDir := flag.String("checkpoint-dir", "", "server checkpoint directory")
 	ckptEvery := flag.Duration("checkpoint-interval", time.Minute, "checkpoint period")
-	syncCkpt := flag.Bool("sync-checkpoints", false,
-		"use the legacy quiesced checkpoint path (blocks ingest for the whole write) instead of the two-phase snapshot+background-write pipeline")
 	groupTimeout := flag.Duration("group-timeout", time.Minute, "unresponsive-group timeout")
 	convergence := flag.Float64("converge-at", 0, "stop when every 95% CI is narrower than this (0 = off)")
 	out := flag.String("out", "out/launcher", "output directory for result fields")
@@ -98,7 +96,6 @@ func main() {
 	if *ckptDir != "" {
 		cfg.CheckpointDir = *ckptDir
 		cfg.CheckpointInterval = *ckptEvery
-		cfg.SyncCheckpoints = *syncCkpt
 	}
 
 	log.Printf("melissa-launcher: study %q — %d cells x %d timesteps, %d groups x %d simulations, %d server processes, TCP transport",

@@ -40,8 +40,6 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the main process address to this file")
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint directory (enables checkpointing)")
 	ckptEvery := flag.Duration("checkpoint-interval", 10*time.Minute, "checkpoint period")
-	syncCkpt := flag.Bool("sync-checkpoints", false,
-		"use the legacy quiesced checkpoint path (blocks ingest for the whole write) instead of the two-phase snapshot+background-write pipeline")
 	restore := flag.Bool("restore", false, "restore from the last checkpoint before serving")
 	launcherAddr := flag.String("launcher", "", "launcher address for heartbeats/reports")
 	groupTimeout := flag.Duration("group-timeout", 5*time.Minute, "unresponsive-group timeout (paper: 300s)")
@@ -115,7 +113,6 @@ func main() {
 	if *ckptDir != "" {
 		cfg.CheckpointDir = *ckptDir
 		cfg.CheckpointInterval = *ckptEvery
-		cfg.SyncCheckpoints = *syncCkpt
 	}
 	_ = *bind // the TCP network always binds loopback:auto per process
 

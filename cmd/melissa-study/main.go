@@ -45,11 +45,9 @@ type statOptions struct {
 	quantiles     []float64
 	quantileEps   float64
 
-	// Checkpointing for the live study (empty dir = off). syncCkpt selects
-	// the legacy quiesced path over the two-phase pipeline.
+	// Checkpointing for the live study (empty dir = off).
 	ckptDir   string
 	ckptEvery time.Duration
-	syncCkpt  bool
 
 	// metricsAddr serves the live telemetry endpoint for the study's
 	// duration (empty = off).
@@ -89,8 +87,6 @@ func main() {
 		"per-cell-per-timestep sketch memory budget in bytes; derives ε (overrides -quantile-eps)")
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint the live study's server into this directory (empty = off)")
 	ckptEvery := flag.Duration("checkpoint-interval", 2*time.Second, "live-study checkpoint period")
-	syncCkpt := flag.Bool("sync-checkpoints", false,
-		"use the legacy quiesced checkpoint path (blocks ingest for the whole write) instead of the two-phase snapshot+background-write pipeline")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve live telemetry (/metrics, /status, /debug/pprof) on this address during the live study (empty = off)")
 	logLevel := flag.String("log-level", "warn", "structured log level: debug, info, warn, error, off")
@@ -115,7 +111,6 @@ func main() {
 		quantileEps:   eps,
 		ckptDir:       *ckptDir,
 		ckptEvery:     *ckptEvery,
-		syncCkpt:      *syncCkpt,
 		metricsAddr:   *metricsAddr,
 		retry:         retryFlags.Policy(),
 		resendWindow:  retryFlags.ResendWindow(),
@@ -299,7 +294,6 @@ func runFig7(out string, nx, ny, groups, foldWorkers, batchSteps, maxBatchSteps 
 	if opts.ckptDir != "" {
 		study.CheckpointDir = opts.ckptDir
 		study.CheckpointInterval = opts.ckptEvery
-		study.SyncCheckpoints = opts.syncCkpt
 	}
 	study.MetricsAddr = opts.metricsAddr
 	study.Chaos = opts.chaos
@@ -324,12 +318,8 @@ func runFig7(out string, nx, ny, groups, foldWorkers, batchSteps, maxBatchSteps 
 			float64(ws.WireBytes)/1e6, float64(ws.RawBytes)/1e6, ws.Ratio(), float64(ws.Saved())/1e6)
 	}
 	if ck := res.Checkpoints(); ck.Writes > 0 {
-		path := "two-phase pipeline"
-		if opts.syncCkpt {
-			path = "legacy quiesced path"
-		}
-		fmt.Printf("checkpoints (%s): %d written (%d skipped), %.1f MB durable; ingest stalled %v of %v total write time\n\n",
-			path, ck.Writes, ck.Skipped, float64(ck.BytesWritten)/1e6,
+		fmt.Printf("checkpoints: %d written (%d skipped), %.1f MB durable; ingest stalled %v of %v total write time\n\n",
+			ck.Writes, ck.Skipped, float64(ck.BytesWritten)/1e6,
 			ck.StallDuration.Round(time.Microsecond), ck.WriteDuration.Round(time.Microsecond))
 	}
 

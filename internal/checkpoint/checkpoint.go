@@ -25,6 +25,9 @@ import (
 
 const (
 	magic = 0x4d4c5341 // "MLSA"
+	// headerSize is the fixed file header: magic, version, CRC and payload
+	// length, four little-endian uint32s.
+	headerSize = 16
 
 	// V1 is the original payload format: Sobol' co-moments plus the
 	// optional min/max, exceedance and higher-moment trackers.
@@ -153,7 +156,7 @@ func NewStreamWriter(path string, version int) (*StreamWriter, error) {
 		version: version,
 		sec:     enc.GetWriter(1 << 16),
 	}
-	var placeholder [16]byte
+	var placeholder [headerSize]byte
 	if _, err := sw.bw.Write(placeholder[:]); err != nil {
 		sw.Abort()
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -187,8 +190,9 @@ func (sw *StreamWriter) Section(fill func(w *enc.Writer)) error {
 	return nil
 }
 
-// Written returns the payload bytes streamed so far (header excluded).
-func (sw *StreamWriter) Written() int64 { return sw.written }
+// Size returns the file length streamed so far: the header plus every
+// payload byte. After a successful Commit it is the committed file's size.
+func (sw *StreamWriter) Size() int64 { return headerSize + sw.written }
 
 // Commit finalizes the checkpoint: flush, patch the real header, fsync the
 // file, atomically rename over path and fsync the directory. The StreamWriter
@@ -209,7 +213,7 @@ func (sw *StreamWriter) Commit() error {
 		sw.fail()
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	var header [16]byte
+	var header [headerSize]byte
 	binary.LittleEndian.PutUint32(header[0:], magic)
 	binary.LittleEndian.PutUint32(header[4:], uint32(sw.version))
 	binary.LittleEndian.PutUint32(header[8:], sw.crc)
@@ -295,7 +299,7 @@ func Read(path string) (*enc.Reader, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(raw) < 16 {
+	if len(raw) < headerSize {
 		return nil, 0, fmt.Errorf("checkpoint: %s: file too short (%d bytes)", path, len(raw))
 	}
 	if got := binary.LittleEndian.Uint32(raw[0:]); got != magic {
@@ -308,7 +312,7 @@ func Read(path string) (*enc.Reader, int, error) {
 	}
 	wantCRC := binary.LittleEndian.Uint32(raw[8:])
 	wantLen := int(binary.LittleEndian.Uint32(raw[12:]))
-	payload := raw[16:]
+	payload := raw[headerSize:]
 	if len(payload) != wantLen {
 		return nil, 0, fmt.Errorf("checkpoint: %s: payload %d bytes, header says %d", path, len(payload), wantLen)
 	}

@@ -99,7 +99,7 @@
 // ride inside the records — so shard extraction, injection and the dense
 // stitch are plain memmoves plus a handful of scalar sample counts. Read
 // methods present the stitched dense view and must only run while no worker
-// is folding. Checkpoints use the dense format (Encode/DecodeSharded),
+// is folding. Checkpoints use the dense format (Encode/DecodeShardedVersion),
 // making them interchangeable across shard counts.
 //
 // # Incremental convergence tracking

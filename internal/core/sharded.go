@@ -327,14 +327,9 @@ func (s *ShardedAccumulator) Encode(w *enc.Writer) {
 	s.Dense().Encode(w)
 }
 
-// DecodeSharded reconstructs a sharded accumulator from a dense-format
-// checkpoint stream (current layout), splitting it into `shards` ranges.
-func DecodeSharded(r *enc.Reader, shards int) (*ShardedAccumulator, error) {
-	return DecodeShardedVersion(r, LayoutCurrent, shards)
-}
-
-// DecodeShardedVersion is DecodeSharded for a stream encoded in the given
-// layout version (see DecodeAccumulatorVersion).
+// DecodeShardedVersion reconstructs a sharded accumulator from a
+// dense-format checkpoint stream encoded in the given layout version (see
+// DecodeAccumulatorVersion), splitting it into `shards` ranges.
 func DecodeShardedVersion(r *enc.Reader, version, shards int) (*ShardedAccumulator, error) {
 	dense, err := DecodeAccumulatorVersion(r, version)
 	if err != nil {

@@ -181,7 +181,7 @@ func TestShardedSplitDenseRoundTrip(t *testing.T) {
 		t.Fatal("sharded Encode differs from the dense checkpoint format")
 	}
 
-	decoded, err := DecodeSharded(enc.NewReader(ws.Bytes()), shards)
+	decoded, err := DecodeShardedVersion(enc.NewReader(ws.Bytes()), LayoutCurrent, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

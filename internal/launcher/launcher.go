@@ -103,10 +103,6 @@ type Config struct {
 	// CheckpointInterval/CheckpointDir configure server checkpoints.
 	CheckpointInterval time.Duration
 	CheckpointDir      string
-	// SyncCheckpoints selects the legacy quiesced checkpoint path instead
-	// of the default two-phase snapshot/background-write pipeline (see
-	// server.Config.SyncCheckpoints).
-	SyncCheckpoints bool
 	// ConvergenceTarget, when positive, stops the study early once the
 	// server's widest confidence interval drops below it.
 	ConvergenceTarget float64
@@ -427,7 +423,6 @@ func (l *Launcher) startServer(restore bool) error {
 		GroupTimeout:       groupTimeout,
 		CheckpointInterval: l.cfg.CheckpointInterval,
 		CheckpointDir:      l.cfg.CheckpointDir,
-		SyncCheckpoints:    l.cfg.SyncCheckpoints,
 		WireCodec:          l.cfg.WireCodec,
 		LauncherAddr:       l.recv.Addr(),
 		ReportInterval:     maxDuration(l.cfg.TickInterval*4, 20*time.Millisecond),

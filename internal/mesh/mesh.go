@@ -119,24 +119,6 @@ func BlockPartition(cells, parts int) []Partition {
 	return out
 }
 
-// Owner returns the index of the partition containing flat cell idx,
-// assuming parts was produced by BlockPartition (sorted, disjoint, tiling).
-func Owner(parts []Partition, idx int) int {
-	lo, hi := 0, len(parts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case idx < parts[mid].Lo:
-			hi = mid
-		case idx >= parts[mid].Hi:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	panic(fmt.Sprintf("mesh: cell %d not covered by partitioning", idx))
-}
-
 // Transfer describes one message of the N×M redistribution: the cells
 // [Cells.Lo, Cells.Hi) travel from simulation rank SimRank to server process
 // ServerRank.

@@ -92,16 +92,6 @@ func TestBlockPartitionTiles(t *testing.T) {
 	}
 }
 
-func TestOwner(t *testing.T) {
-	ps := BlockPartition(100, 7)
-	for idx := 0; idx < 100; idx++ {
-		o := Owner(ps, idx)
-		if !ps[o].Contains(idx) {
-			t.Fatalf("owner(%d) = %d does not contain it", idx, o)
-		}
-	}
-}
-
 func TestIntersect(t *testing.T) {
 	a := Partition{10, 20}
 	cases := []struct {

@@ -169,25 +169,6 @@ func (f *Field) Encode(w *enc.Writer) {
 	}
 }
 
-// EncodeStitched writes the concatenation of parts — contiguous cell
-// sub-range fields of one partition — in the Field.Encode layout, so the
-// bytes are identical to encoding the dense field the parts were extracted
-// from. The sample count is taken from the first part (invariant across
-// shards: every sample field covers them all). parts must be non-empty.
-func EncodeStitched(w *enc.Writer, parts []*Field) {
-	total := 0
-	for _, p := range parts {
-		total += len(p.sketches)
-	}
-	w.I64(parts[0].n)
-	w.Int(total)
-	for _, p := range parts {
-		for i := range p.sketches {
-			p.sketches[i].Encode(w)
-		}
-	}
-}
-
 // CopyInto deep-copies f into dst (same cell count), reusing dst's sketch
 // storage where capacity allows — the allocation-free refresh of a pooled
 // snapshot buffer. f's buffered inserts are folded first, exactly as clone

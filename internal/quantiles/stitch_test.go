@@ -8,32 +8,43 @@ import (
 	"melissa/internal/enc"
 )
 
-// TestEncodeStitchedMatchesDense: the stitched encode of extracted sub-range
-// fields must be byte-identical to encoding the dense field they came from.
-func TestEncodeStitchedMatchesDense(t *testing.T) {
+// TestEncodeFrozenStitchedMatchesDense: the stitched encode of frozen
+// sub-range views must be byte-identical to compacting and encoding the
+// dense field they came from — the checkpoint writer's contract — even
+// after the live sub-range fields keep folding past the freeze.
+func TestEncodeFrozenStitchedMatchesDense(t *testing.T) {
 	const cells = 23
 	rng := rand.New(rand.NewSource(9))
 	f := NewField(cells, 0.05)
 	a := make([]float64, cells)
 	b := make([]float64, cells)
-	for s := 0; s < 40; s++ {
+	fold := func(f *Field, lo, hi int) {
 		for i := range a {
 			a[i] = rng.NormFloat64()
 			b[i] = rng.NormFloat64()
 		}
-		f.UpdatePair(a, b)
+		f.UpdatePair(a[lo:hi], b[lo:hi])
 	}
-	f.Compact()
+	for s := 0; s < 40; s++ {
+		fold(f, 0, cells)
+	}
 
 	for _, bounds := range [][]int{{0, cells}, {0, 8, 15, cells}} {
-		var parts []*Field
-		for i := 0; i+1 < len(bounds); i++ {
-			parts = append(parts, f.Extract(bounds[i], bounds[i+1]))
-		}
+		dense := f.Extract(0, cells)
+		dense.Compact()
 		want := enc.NewWriter(1 << 14)
-		f.Encode(want)
+		dense.Encode(want)
+
+		var parts []*FrozenField
+		for i := 0; i+1 < len(bounds); i++ {
+			live := f.Extract(bounds[i], bounds[i+1])
+			parts = append(parts, live.FreezeInto(nil))
+			for s := 0; s < 5; s++ {
+				fold(live, bounds[i], bounds[i+1])
+			}
+		}
 		got := enc.NewWriter(1 << 14)
-		EncodeStitched(got, parts)
+		EncodeFrozenStitched(got, parts, nil)
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
 			t.Fatalf("%d parts: stitched encode differs from dense", len(parts))
 		}

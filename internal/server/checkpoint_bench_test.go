@@ -64,8 +64,8 @@ func fillBenchAccumulator(s *core.ShardedAccumulator) {
 // quantile state. This is the *only* work the fold pipeline ever stalls for
 // under the pipelined design — quantile compaction, encode, CRC, write and
 // fsync all run on the background writer from the frozen views. Compare
-// against BenchmarkCheckpointWrite's sync variants for how much hot-path
-// time the split removes.
+// against BenchmarkCheckpointWrite's ns/op for how much hot-path time the
+// split removes.
 func BenchmarkCheckpointSnapshot(b *testing.B) {
 	for _, oc := range benchCkptOptions() {
 		for _, shards := range []int{1, 4} {
@@ -87,7 +87,7 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 // newBenchProc builds a populated server process with a live fold-worker
 // pool and checkpointing into dir, without a run loop — the benchmark
 // goroutine plays the inbox role.
-func newBenchProc(b *testing.B, workers int, stats core.Options, dir string, sync bool) *Proc {
+func newBenchProc(b *testing.B, workers int, stats core.Options, dir string) *Proc {
 	b.Helper()
 	net := transport.NewMemNetwork(transport.Options{})
 	recv, err := net.Listen("")
@@ -100,7 +100,7 @@ func newBenchProc(b *testing.B, workers int, stats core.Options, dir string, syn
 			Cells: benchCkptCells, Timesteps: benchCkptTimesteps, P: benchCkptP,
 			Stats: stats, Network: net,
 			CheckpointDir: dir, CheckpointInterval: time.Hour,
-			ReportInterval: time.Hour, SyncCheckpoints: sync,
+			ReportInterval: time.Hour,
 		},
 		Rank:      0,
 		Partition: mesh.Partition{Lo: 0, Hi: benchCkptCells},
@@ -115,36 +115,31 @@ func newBenchProc(b *testing.B, workers int, stats core.Options, dir string, syn
 }
 
 // BenchmarkCheckpointWrite measures one whole checkpoint end to end —
-// initiation to durable file — through the real Proc machinery. The sync
-// variants run the legacy quiesced path (the run loop blocks for the full
-// serialize+CRC+fsync: stall == total); the pipelined variants run the
-// two-phase path, whose hot-path blockage is only the snapshot copy. The
-// stall is reported as the custom metric stall-ns/op: that, not ns/op, is
-// the number ingest pays — the rest of the pipelined write overlaps folding.
+// initiation to durable file — through the real Proc machinery. The
+// two-phase path blocks the fold pipeline only for the snapshot copy; that
+// stall is reported as the custom metric stall-ns/op, and it, not ns/op, is
+// the number ingest pays — the rest of the write overlaps folding.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	for _, oc := range benchCkptOptions() {
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []string{"sync", "pipelined"} {
-				name := fmt.Sprintf("%s-fold%d-%s", oc.name, workers, mode)
-				b.Run(name, func(b *testing.B) {
-					pr := newBenchProc(b, workers, oc.stats, b.TempDir(), mode == "sync")
-					before := pr.Checkpoints()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						pr.startCheckpoint(true)
-						pr.ckptWG.Wait() // durable before the next iteration
-					}
-					b.StopTimer()
-					ck := pr.Checkpoints()
-					writes := ck.Writes - before.Writes
-					if writes != b.N {
-						b.Fatalf("%d writes for %d iterations", writes, b.N)
-					}
-					stall := ck.StallDuration - before.StallDuration
-					b.ReportMetric(float64(stall.Nanoseconds())/float64(b.N), "stall-ns/op")
-					b.SetBytes(ck.LastBytes)
-				})
-			}
+			b.Run(fmt.Sprintf("%s-fold%d", oc.name, workers), func(b *testing.B) {
+				pr := newBenchProc(b, workers, oc.stats, b.TempDir())
+				before := pr.Checkpoints()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pr.startCheckpoint(true)
+					pr.ckptWG.Wait() // durable before the next iteration
+				}
+				b.StopTimer()
+				ck := pr.Checkpoints()
+				writes := ck.Writes - before.Writes
+				if writes != b.N {
+					b.Fatalf("%d writes for %d iterations", writes, b.N)
+				}
+				stall := ck.StallDuration - before.StallDuration
+				b.ReportMetric(float64(stall.Nanoseconds())/float64(b.N), "stall-ns/op")
+				b.SetBytes(ck.LastBytes)
+			})
 		}
 	}
 }

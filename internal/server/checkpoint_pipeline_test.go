@@ -11,6 +11,7 @@ import (
 
 	"melissa/internal/checkpoint"
 	"melissa/internal/core"
+	"melissa/internal/enc"
 	"melissa/internal/transport"
 )
 
@@ -48,47 +49,68 @@ func readCheckpointFiles(t *testing.T, dir string, procs int) [][]byte {
 }
 
 // TestPipelinedCheckpointMatchesSync: the two-phase checkpoint pipeline must
-// write files byte-identical to the legacy quiesced path at the same fold
-// state — swept over every Options combination and FoldWorkers {1, 4}. This
-// is the restart-compatibility contract: a checkpoint is a pure function of
-// the fold state, independent of how it reached the disk.
+// write files byte-identical to a quiesced one-shot checkpoint.Write of the
+// same fold state — swept over every Options combination and FoldWorkers
+// {1, 4}. The reference image is rebuilt here, after Stop, from the stopped
+// process's partition, message count, compacted accumulator and tracker.
+// This is the restart-compatibility contract: a checkpoint is a pure
+// function of the fold state, independent of how it reached the disk.
 func TestPipelinedCheckpointMatchesSync(t *testing.T) {
 	const procs, cells, timesteps, p = 2, 30, 2, 2
 	groups := []int{0, 1, 2}
 	for ci, opts := range optionCombos() {
 		for _, workers := range []int{1, 4} {
 			opts, workers := opts, workers
-			syncDir := t.TempDir()
+			refDir := t.TempDir()
 			pipeDir := t.TempDir()
-			runCheckpointedStudy(t, syncDir, procs, cells, timesteps, p, groups, func(c *Config) {
-				c.Stats = opts
-				c.FoldWorkers = workers
-				c.SyncCheckpoints = true
-			})
-			sPipe := runCheckpointedStudy(t, pipeDir, procs, cells, timesteps, p, groups, func(c *Config) {
+			s := runCheckpointedStudy(t, pipeDir, procs, cells, timesteps, p, groups, func(c *Config) {
 				c.Stats = opts
 				c.FoldWorkers = workers
 			})
+			for _, pr := range s.Procs() {
+				err := checkpoint.Write(checkpoint.Filename(refDir, pr.Rank()), func(w *enc.Writer) {
+					w.Int(pr.Partition().Lo)
+					w.Int(pr.Partition().Hi)
+					w.I64(pr.Messages())
+					pr.Accumulator().CompactQuantiles()
+					pr.Accumulator().Encode(w)
+					pr.Tracker().Encode(w)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 
-			want := readCheckpointFiles(t, syncDir, procs)
+			want := readCheckpointFiles(t, refDir, procs)
 			got := readCheckpointFiles(t, pipeDir, procs)
+			var total int64
 			for rank := range want {
 				if !bytes.Equal(want[rank], got[rank]) {
 					t.Fatalf("combo %d fold%d rank %d: pipelined checkpoint differs from quiesced (%d vs %d bytes)",
 						ci, workers, rank, len(got[rank]), len(want[rank]))
 				}
+				total += int64(len(got[rank]))
 			}
 			// The pipelined write recorded its stall separately from (and no
-			// larger than) the total.
-			ck := sPipe.Result().Checkpoints()
+			// larger than) the total, and its byte counts are the on-disk
+			// file sizes: one write per process, so LastBytes sums to the
+			// same total as BytesWritten.
+			ck := s.Result().Checkpoints()
 			if ck.Writes != procs {
 				t.Fatalf("combo %d fold%d: %d pipelined writes, want %d", ci, workers, ck.Writes, procs)
 			}
 			if ck.StallDuration > ck.WriteDuration {
 				t.Fatalf("combo %d fold%d: stall %v exceeds total %v", ci, workers, ck.StallDuration, ck.WriteDuration)
 			}
-			if ck.BytesWritten == 0 || ck.LastBytes == 0 {
-				t.Fatalf("combo %d fold%d: checkpoint bytes not recorded: %+v", ci, workers, ck)
+			for rank, pr := range s.Procs() {
+				if last := pr.Checkpoints().LastBytes; last != int64(len(got[rank])) {
+					t.Fatalf("combo %d fold%d rank %d: LastBytes %d, file is %d bytes",
+						ci, workers, rank, last, len(got[rank]))
+				}
+			}
+			if ck.BytesWritten != total || ck.LastBytes != total {
+				t.Fatalf("combo %d fold%d: BytesWritten %d / LastBytes %d, files total %d bytes",
+					ci, workers, ck.BytesWritten, ck.LastBytes, total)
 			}
 		}
 	}

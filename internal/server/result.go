@@ -1,21 +1,12 @@
 package server
 
 import (
-	"os"
 	"sync/atomic"
 
 	"melissa/internal/core"
 	"melissa/internal/mesh"
 	"melissa/internal/transport"
 )
-
-func statFile(path string) (int64, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
-}
 
 // Result is the assembled global view of a finished study: per-timestep,
 // per-cell Sobol' index fields stitched together from every server process's
@@ -169,9 +160,8 @@ func (r *Result) PayloadPool() transport.PoolStats {
 
 // Checkpoints sums the checkpoint statistics across processes: writes,
 // skipped intervals, total and stall (fold-pipeline blockage) wall time,
-// and bytes made durable. With the default two-phase pipeline StallDuration
-// is the snapshot-copy cost only — the encode+fsync part of WriteDuration
-// ran overlapped with ingest; with Config.SyncCheckpoints the two are equal.
+// and bytes made durable. StallDuration is the snapshot-copy cost only —
+// the encode+fsync part of WriteDuration ran overlapped with ingest.
 func (r *Result) Checkpoints() CheckpointStats {
 	var total CheckpointStats
 	for _, p := range r.procs {

@@ -82,8 +82,8 @@
 //	                          message count, tracker bytes) and fans one
 //	                          snapshot task out to every worker channel;
 //	                          each worker — after exactly the folds enqueued
-//	                          before the task, so the image equals what the
-//	                          quiesced design would have written — compacts
+//	                          before the task, so the image is the fold state
+//	                          at that point of the stream — compacts
 //	                          its shard's quantile sketches and deep-copies
 //	                          the shard into a pooled, double-buffered
 //	                          snapshot (the interleaved Sobol' records move
@@ -101,10 +101,10 @@
 // longest lane's copy bounds the added latency — CheckpointStats splits this
 // stall out of the total write time), and a checkpoint interval that fires
 // while both snapshot buffers are still busy is skipped and logged, never
-// queued. Files are byte-identical to the legacy quiesced path at the same
-// fold state (Config.SyncCheckpoints keeps that path as the equivalence
-// reference), so checkpoints remain interchangeable across versions,
-// FoldWorkers settings and write paths.
+// queued. A file is a pure function of the fold state — byte-identical to a
+// one-shot checkpoint.Write of the compacted accumulator at that point of
+// the stream — so checkpoints remain interchangeable across versions and
+// FoldWorkers settings.
 package server
 
 import (
@@ -149,14 +149,6 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// CheckpointDir is where checkpoint files live.
 	CheckpointDir string
-	// SyncCheckpoints selects the legacy quiesced checkpoint path: the run
-	// loop blocks for the whole serialize+CRC+fsync (the Sec. 5.4 stall)
-	// instead of the default two-phase pipeline, where fold workers stall
-	// only for a per-shard snapshot copy and a background goroutine writes
-	// the frozen image overlapped with ingest. Both paths produce
-	// byte-identical files at the same fold state; this is a debugging and
-	// benchmarking reference, not a correctness knob.
-	SyncCheckpoints bool
 	// LauncherAddr, when set, receives heartbeats and reports.
 	LauncherAddr string
 	// ReportInterval is the heartbeat/report period (default 1 s).
@@ -311,10 +303,12 @@ func (s *Server) Start() {
 		panic("server: double Start")
 	}
 	s.started = true
-	s.RegisterStatus()
 	for _, p := range s.procs {
 		p.startWorkers()
 	}
+	// Register only once the worker pools exist: a concurrent /status
+	// scrape reads the per-worker slices startWorkers assigns.
+	s.RegisterStatus()
 	for _, p := range s.procs {
 		s.wg.Add(1)
 		go func(p *Proc) {

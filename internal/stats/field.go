@@ -58,43 +58,6 @@ func (f *FieldMoments) Update(values []float64) {
 	}
 }
 
-// UpdatePair folds two sample fields (the A and B members of one group) in
-// one fused sweep: each cell's four moments are loaded and stored once for
-// both samples instead of once per sample. The per-cell arithmetic order is
-// exactly Update(a) followed by Update(b), so results are bitwise identical
-// to two separate passes.
-func (f *FieldMoments) UpdatePair(a, b []float64) {
-	if len(a) != len(f.means) || len(b) != len(f.means) {
-		panic(fmt.Sprintf("stats: field of %d cells updated with %d/%d values", len(f.means), len(a), len(b)))
-	}
-	nA1 := float64(f.n)
-	nA := nA1 + 1
-	nB := nA + 1
-	nnA := nA*nA - 3*nA + 3
-	nnB := nB*nB - 3*nB + 3
-	f.n += 2
-	for i := range a {
-		mean, m2, m3, m4 := f.means[i], f.m2[i], f.m3[i], f.m4[i]
-		delta := a[i] - mean
-		deltaN := delta / nA
-		deltaN2 := deltaN * deltaN
-		term1 := delta * deltaN * nA1
-		mean += deltaN
-		m4 += term1*deltaN2*nnA + 6*deltaN2*m2 - 4*deltaN*m3
-		m3 += term1*deltaN*(nA-2) - 3*deltaN*m2
-		m2 += term1
-		delta = b[i] - mean
-		deltaN = delta / nB
-		deltaN2 = deltaN * deltaN
-		term1 = delta * deltaN * nA
-		mean += deltaN
-		m4 += term1*deltaN2*nnB + 6*deltaN2*m2 - 4*deltaN*m3
-		m3 += term1*deltaN*(nB-2) - 3*deltaN*m2
-		m2 += term1
-		f.means[i], f.m2[i], f.m3[i], f.m4[i] = mean, m2, m3, m4
-	}
-}
-
 // Merge folds other into f cell by cell. The cell counts must match.
 func (f *FieldMoments) Merge(other *FieldMoments) {
 	if len(other.means) != len(f.means) {
@@ -180,128 +143,6 @@ func (f *FieldMoments) VarianceField(dst []float64) []float64 {
 	return dst
 }
 
-// FieldCovariance accumulates per-cell covariances between two streams of
-// fields (e.g. Y^B and Y^Ck in the Martinez estimator), together with both
-// per-cell variances, so a Sobol' index per cell is a pure read.
-type FieldCovariance struct {
-	n     int64
-	meanX []float64
-	meanY []float64
-	c2    []float64
-	m2x   []float64
-	m2y   []float64
-}
-
-// NewFieldCovariance returns an accumulator for fields of the given size.
-func NewFieldCovariance(cells int) *FieldCovariance {
-	return &FieldCovariance{
-		meanX: make([]float64, cells),
-		meanY: make([]float64, cells),
-		c2:    make([]float64, cells),
-		m2x:   make([]float64, cells),
-		m2y:   make([]float64, cells),
-	}
-}
-
-// Cells returns the number of cells per sample field.
-func (f *FieldCovariance) Cells() int { return len(f.meanX) }
-
-// N returns the number of field pairs folded in.
-func (f *FieldCovariance) N() int64 { return f.n }
-
-// Update folds one pair of sample fields.
-func (f *FieldCovariance) Update(x, y []float64) {
-	if len(x) != len(f.meanX) || len(y) != len(f.meanX) {
-		panic(fmt.Sprintf("stats: field covariance of %d cells updated with %d/%d values",
-			len(f.meanX), len(x), len(y)))
-	}
-	f.n++
-	n := float64(f.n)
-	for i := range x {
-		dx := x[i] - f.meanX[i]
-		dy := y[i] - f.meanY[i]
-		f.meanX[i] += dx / n
-		f.meanY[i] += dy / n
-		f.c2[i] += dx * (y[i] - f.meanY[i])
-		f.m2x[i] += dx * (x[i] - f.meanX[i])
-		f.m2y[i] += dy * (y[i] - f.meanY[i])
-	}
-}
-
-// Merge folds other into f cell by cell.
-func (f *FieldCovariance) Merge(other *FieldCovariance) {
-	if len(other.meanX) != len(f.meanX) {
-		panic("stats: merging FieldCovariance with different cell counts")
-	}
-	if other.n == 0 {
-		return
-	}
-	if f.n == 0 {
-		f.n = other.n
-		copy(f.meanX, other.meanX)
-		copy(f.meanY, other.meanY)
-		copy(f.c2, other.c2)
-		copy(f.m2x, other.m2x)
-		copy(f.m2y, other.m2y)
-		return
-	}
-	na := float64(f.n)
-	nb := float64(other.n)
-	nx := na + nb
-	for i := range f.meanX {
-		dx := other.meanX[i] - f.meanX[i]
-		dy := other.meanY[i] - f.meanY[i]
-		f.c2[i] += other.c2[i] + dx*dy*na*nb/nx
-		f.m2x[i] += other.m2x[i] + dx*dx*na*nb/nx
-		f.m2y[i] += other.m2y[i] + dy*dy*na*nb/nx
-		f.meanX[i] += dx * nb / nx
-		f.meanY[i] += dy * nb / nx
-	}
-	f.n += other.n
-}
-
-// Cov returns the unbiased covariance of cell i (0 for n < 2).
-func (f *FieldCovariance) Cov(i int) float64 {
-	if f.n < 2 {
-		return 0
-	}
-	return f.c2[i] / float64(f.n-1)
-}
-
-// VarX returns the unbiased variance of the first stream at cell i.
-func (f *FieldCovariance) VarX(i int) float64 {
-	if f.n < 2 {
-		return 0
-	}
-	return f.m2x[i] / float64(f.n-1)
-}
-
-// VarY returns the unbiased variance of the second stream at cell i.
-func (f *FieldCovariance) VarY(i int) float64 {
-	if f.n < 2 {
-		return 0
-	}
-	return f.m2y[i] / float64(f.n-1)
-}
-
-// Correlation returns the Pearson correlation at cell i, the quantity the
-// Martinez estimator reads off directly (0 when a variance vanishes).
-func (f *FieldCovariance) Correlation(i int) float64 {
-	if f.n < 2 || f.m2x[i] == 0 || f.m2y[i] == 0 {
-		return 0
-	}
-	return f.c2[i] / (sqrt(f.m2x[i]) * sqrt(f.m2y[i]))
-}
-
-// CorrelationField writes the per-cell correlations into dst.
-func (f *FieldCovariance) CorrelationField(dst []float64) []float64 {
-	dst = ensureLen(dst, len(f.c2))
-	for i := range dst {
-		dst[i] = f.Correlation(i)
-	}
-	return dst
-}
-
 // FieldMinMax tracks per-cell running min and max.
 type FieldMinMax struct {
 	n   int64
@@ -341,31 +182,6 @@ func (f *FieldMinMax) Update(values []float64) {
 		if x > f.max[i] {
 			f.max[i] = x
 		}
-	}
-}
-
-// UpdatePair folds two sample fields in one fused sweep (bitwise identical
-// to Update(a) followed by Update(b)).
-func (f *FieldMinMax) UpdatePair(a, b []float64) {
-	if len(a) != len(f.min) || len(b) != len(f.min) {
-		panic("stats: FieldMinMax dimension mismatch")
-	}
-	f.n += 2
-	for i := range a {
-		lo, hi := f.min[i], f.max[i]
-		if a[i] < lo {
-			lo = a[i]
-		}
-		if a[i] > hi {
-			hi = a[i]
-		}
-		if b[i] < lo {
-			lo = b[i]
-		}
-		if b[i] > hi {
-			hi = b[i]
-		}
-		f.min[i], f.max[i] = lo, hi
 	}
 }
 
@@ -418,23 +234,6 @@ func (f *FieldExceedance) Update(values []float64) {
 	f.n++
 	for i, x := range values {
 		if x > f.Threshold {
-			f.counts[i]++
-		}
-	}
-}
-
-// UpdatePair folds two sample fields in one fused sweep (bitwise identical
-// to Update(a) followed by Update(b)).
-func (f *FieldExceedance) UpdatePair(a, b []float64) {
-	if len(a) != len(f.counts) || len(b) != len(f.counts) {
-		panic("stats: FieldExceedance dimension mismatch")
-	}
-	f.n += 2
-	for i := range a {
-		if a[i] > f.Threshold {
-			f.counts[i]++
-		}
-		if b[i] > f.Threshold {
 			f.counts[i]++
 		}
 	}

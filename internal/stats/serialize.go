@@ -2,16 +2,11 @@ package stats
 
 import "melissa/internal/enc"
 
-// The Encode/Decode methods below write accumulator state through the shared
-// enc codec. They are the building blocks of the server checkpoint format
-// (Sec. 4.2.1: "these data together with the current statistics values are
-// periodically checkpointed to file"). Round-tripping is bit-exact so that a
-// restarted server resumes with identical statistics.
-//
-// These trackers serialize identically in every checkpoint format version;
-// the quantile sketches added by format v2 carry their own codec in
-// internal/quantiles, and internal/core sequences all of them per layout
-// version (core.LayoutV1/LayoutV2).
+// The Encode/Decode methods below write scalar accumulator state through the
+// shared enc codec; sobol.Martinez serializes its per-parameter covariances
+// with them. Round-tripping is bit-exact. The per-cell Field* trackers have
+// no codec of their own: internal/core owns the checkpoint layout of their
+// state (core.LayoutV1/LayoutV2) and wraps it for reads through *FromState.
 
 // Encode appends the accumulator state to w.
 func (m *Moments) Encode(w *enc.Writer) {
@@ -49,71 +44,4 @@ func (c *Covariance) Decode(r *enc.Reader) {
 	c.c2 = r.F64()
 	c.m2x = r.F64()
 	c.m2y = r.F64()
-}
-
-// Encode appends the accumulator state to w.
-func (f *FieldMoments) Encode(w *enc.Writer) {
-	w.I64(f.n)
-	w.F64Slice(f.means)
-	w.F64Slice(f.m2)
-	w.F64Slice(f.m3)
-	w.F64Slice(f.m4)
-}
-
-// Decode restores the accumulator state from r. The accumulator adopts the
-// encoded cell count.
-func (f *FieldMoments) Decode(r *enc.Reader) {
-	f.n = r.I64()
-	f.means = r.F64Slice()
-	f.m2 = r.F64Slice()
-	f.m3 = r.F64Slice()
-	f.m4 = r.F64Slice()
-}
-
-// Encode appends the accumulator state to w.
-func (f *FieldCovariance) Encode(w *enc.Writer) {
-	w.I64(f.n)
-	w.F64Slice(f.meanX)
-	w.F64Slice(f.meanY)
-	w.F64Slice(f.c2)
-	w.F64Slice(f.m2x)
-	w.F64Slice(f.m2y)
-}
-
-// Decode restores the accumulator state from r.
-func (f *FieldCovariance) Decode(r *enc.Reader) {
-	f.n = r.I64()
-	f.meanX = r.F64Slice()
-	f.meanY = r.F64Slice()
-	f.c2 = r.F64Slice()
-	f.m2x = r.F64Slice()
-	f.m2y = r.F64Slice()
-}
-
-// Encode appends the accumulator state to w.
-func (f *FieldMinMax) Encode(w *enc.Writer) {
-	w.I64(f.n)
-	w.F64Slice(f.min)
-	w.F64Slice(f.max)
-}
-
-// Decode restores the accumulator state from r.
-func (f *FieldMinMax) Decode(r *enc.Reader) {
-	f.n = r.I64()
-	f.min = r.F64Slice()
-	f.max = r.F64Slice()
-}
-
-// Encode appends the accumulator state to w.
-func (f *FieldExceedance) Encode(w *enc.Writer) {
-	w.F64(f.Threshold)
-	w.I64(f.n)
-	w.I64Slice(f.counts)
-}
-
-// Decode restores the accumulator state from r.
-func (f *FieldExceedance) Decode(r *enc.Reader) {
-	f.Threshold = r.F64()
-	f.n = r.I64()
-	f.counts = r.I64Slice()
 }

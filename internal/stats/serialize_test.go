@@ -7,120 +7,53 @@ import (
 	"melissa/internal/enc"
 )
 
-// roundTripEqual encodes all four accumulators, decodes them into fresh
+// roundTripEqual encodes both scalar accumulators, decodes them into fresh
 // values and reports whether every statistic is bit-identical.
-func roundTripEqual(m Moments, c Covariance, fm *FieldMoments, fc *FieldCovariance) bool {
+func roundTripEqual(m Moments, c Covariance) bool {
 	w := enc.NewWriter(256)
 	m.Encode(w)
 	c.Encode(w)
-	fm.Encode(w)
-	fc.Encode(w)
 
 	r := enc.NewReader(w.Bytes())
 	var m2 Moments
 	var c2 Covariance
-	fm2 := new(FieldMoments)
-	fc2 := new(FieldCovariance)
 	m2.Decode(r)
 	c2.Decode(r)
-	fm2.Decode(r)
-	fc2.Decode(r)
 	if r.Err() != nil || r.Remaining() != 0 {
 		return false
 	}
-	if m2 != m || c2 != c {
-		return false
-	}
-	if fm2.N() != fm.N() || fc2.N() != fc.N() {
-		return false
-	}
-	for i := 0; i < fm.Cells(); i++ {
-		if fm2.Mean(i) != fm.Mean(i) || fm2.Variance(i) != fm.Variance(i) ||
-			fm2.Skewness(i) != fm.Skewness(i) || fm2.Kurtosis(i) != fm.Kurtosis(i) {
-			return false
-		}
-	}
-	for i := 0; i < fc.Cells(); i++ {
-		if fc2.Cov(i) != fc.Cov(i) || fc2.VarX(i) != fc.VarX(i) ||
-			fc2.VarY(i) != fc.VarY(i) || fc2.Correlation(i) != fc.Correlation(i) {
-			return false
-		}
-	}
-	return true
+	return m2 == m && c2 == c
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	var m Moments
 	var c Covariance
-	fm := NewFieldMoments(17)
-	fc := NewFieldCovariance(17)
-	buf := make([]float64, 17)
-	buf2 := make([]float64, 17)
 	for s := 0; s < 57; s++ {
 		x := rng.NormFloat64()
 		m.Update(x)
 		c.Update(x, rng.Float64())
-		for i := range buf {
-			buf[i] = rng.NormFloat64()
-			buf2[i] = rng.ExpFloat64()
-		}
-		fm.Update(buf)
-		fc.Update(buf, buf2)
 	}
-	if !roundTripEqual(m, c, fm, fc) {
+	if !roundTripEqual(m, c) {
 		t.Fatal("serialization round-trip is not bit-exact")
 	}
 }
 
 func TestSerializeEmptyAccumulators(t *testing.T) {
-	if !roundTripEqual(Moments{}, Covariance{}, NewFieldMoments(0), NewFieldCovariance(0)) {
+	if !roundTripEqual(Moments{}, Covariance{}) {
 		t.Fatal("round-trip of empty accumulators failed")
 	}
 }
 
-func TestSerializeMinMaxExceedance(t *testing.T) {
-	mm := NewFieldMinMax(4)
-	ex := NewFieldExceedance(4, 2.5)
-	mm.Update([]float64{1, 2, 3, 4})
-	mm.Update([]float64{4, 3, 2, 1})
-	ex.Update([]float64{1, 2, 3, 4})
-	ex.Update([]float64{5, 5, 0, 0})
-
-	w := enc.NewWriter(128)
-	mm.Encode(w)
-	ex.Encode(w)
-
-	r := enc.NewReader(w.Bytes())
-	mm2 := new(FieldMinMax)
-	ex2 := new(FieldExceedance)
-	mm2.Decode(r)
-	ex2.Decode(r)
-	if r.Err() != nil {
-		t.Fatalf("decode error: %v", r.Err())
-	}
-	for i := 0; i < 4; i++ {
-		if mm2.Min(i) != mm.Min(i) || mm2.Max(i) != mm.Max(i) {
-			t.Fatalf("minmax mismatch at cell %d", i)
-		}
-		if ex2.Probability(i) != ex.Probability(i) {
-			t.Fatalf("exceedance mismatch at cell %d", i)
-		}
-	}
-	if ex2.Threshold != 2.5 {
-		t.Fatalf("threshold not restored: %v", ex2.Threshold)
-	}
-}
-
 func TestSerializeTruncatedBufferErrors(t *testing.T) {
-	fm := NewFieldMoments(8)
-	fm.Update(make([]float64, 8))
+	var m Moments
+	m.Update(1)
 	w := enc.NewWriter(64)
-	fm.Encode(w)
+	m.Encode(w)
 
 	r := enc.NewReader(w.Bytes()[:w.Len()-5])
-	fm2 := new(FieldMoments)
-	fm2.Decode(r)
+	var m2 Moments
+	m2.Decode(r)
 	if r.Err() == nil {
 		t.Fatal("decoding a truncated buffer must report an error")
 	}

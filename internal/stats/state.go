@@ -3,7 +3,7 @@ package stats
 // From-state constructors: wrap raw tracker state in the field types without
 // folding samples. Callers that keep tracker state in their own layout (the
 // interleaved per-cell records of internal/core) use these to materialize
-// the standard accessor/serialization views. The slices are adopted, not
+// the standard accessor views. The slices are adopted, not
 // copied.
 
 // MinMaxFromState returns a FieldMinMax over the given per-cell min/max

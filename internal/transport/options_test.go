@@ -7,7 +7,7 @@ import (
 
 func TestForStudySizing(t *testing.T) {
 	// Small study: buffers clamp up to the 64 KiB floor.
-	small := ForStudy(16, 2, 1)
+	small := ForStudyCodec(16, 2, 1, false)
 	if small.SendSockBytes != minSockBytes || small.RecvSockBytes != minSockBytes {
 		t.Fatalf("small study sock bytes = %d/%d, want %d", small.SendSockBytes, small.RecvSockBytes, minSockBytes)
 	}
@@ -17,7 +17,7 @@ func TestForStudySizing(t *testing.T) {
 
 	// Mid-size study: buffers track the frame size (cells × (p+2) × batch ×
 	// 8 bytes plus header allowance).
-	mid := ForStudy(10000, 6, 4)
+	mid := ForStudyCodec(10000, 6, 4, false)
 	wantFrame := 8*10000*(6+2)*4 + 4096
 	if mid.SendSockBytes != wantFrame || mid.RecvSockBytes != wantFrame {
 		t.Fatalf("mid study sock bytes = %d/%d, want %d", mid.SendSockBytes, mid.RecvSockBytes, wantFrame)
@@ -27,7 +27,7 @@ func TestForStudySizing(t *testing.T) {
 	}
 
 	// Huge partition: clamped so one connection cannot pin unbounded memory.
-	huge := ForStudy(10_000_000, 20, 10)
+	huge := ForStudyCodec(10_000_000, 20, 10, false)
 	if huge.SendSockBytes != maxSockBytes || huge.RecvSockBytes != maxSockBytes {
 		t.Fatalf("huge study sock bytes = %d/%d, want %d", huge.SendSockBytes, huge.RecvSockBytes, maxSockBytes)
 	}
@@ -36,16 +36,16 @@ func TestForStudySizing(t *testing.T) {
 	}
 
 	// Degenerate shapes fall back to defaults rather than zero-size buffers.
-	if d := ForStudy(0, 0, 0); d.SendSockBytes != 0 || d.FrameBufBytes != 1<<16 {
+	if d := ForStudyCodec(0, 0, 0, false); d.SendSockBytes != 0 || d.FrameBufBytes != 1<<16 {
 		t.Fatalf("degenerate study produced %+v", d)
 	}
-	if d := ForStudy(100, -1, -5); d.SendSockBytes < minSockBytes {
+	if d := ForStudyCodec(100, -1, -5, false); d.SendSockBytes < minSockBytes {
 		t.Fatalf("negative p/batch produced %+v", d)
 	}
 
 	// Message-count buffers keep their defaults.
 	if mid.SendBuffer != DefaultOptions().SendBuffer || mid.RecvBuffer != DefaultOptions().RecvBuffer {
-		t.Fatalf("ForStudy changed message-count buffers: %+v", mid)
+		t.Fatalf("ForStudyCodec changed message-count buffers: %+v", mid)
 	}
 }
 
@@ -62,11 +62,6 @@ func TestForStudyCodecSizing(t *testing.T) {
 		t.Fatalf("codec sizing %d not smaller than raw %d", comp.SendSockBytes, raw.SendSockBytes)
 	}
 
-	// codec=false is exactly ForStudy.
-	if raw != ForStudy(10000, 6, 4) {
-		t.Fatalf("ForStudyCodec(..., false) diverged from ForStudy")
-	}
-
 	// The 64 KiB floors still hold for small compressed frames.
 	small := ForStudyCodec(16, 2, 1, true)
 	if small.SendSockBytes != minSockBytes || small.FrameBufBytes != 1<<16 {
@@ -74,12 +69,12 @@ func TestForStudyCodecSizing(t *testing.T) {
 	}
 }
 
-// A TCP network built from ForStudy options must move study-shaped frames
+// A TCP network built from ForStudyCodec options must move study-shaped frames
 // end to end (the socket-buffer calls succeed and the sized bufio layers
 // frame correctly, including frames larger than the user-space buffer).
 func TestTCPWithStudySizedBuffers(t *testing.T) {
 	const cells, p, batch = 5000, 6, 2
-	net := NewTCPNetwork(ForStudy(cells, p, batch))
+	net := NewTCPNetwork(ForStudyCodec(cells, p, batch, false))
 	recv, err := net.Listen("")
 	if err != nil {
 		t.Fatal(err)

@@ -107,12 +107,12 @@ type Options struct {
 	// (SO_SNDBUF/SO_RCVBUF) on every TCP connection, dialed and accepted.
 	// 0 keeps the OS default. Sizing them to hold at least one full data
 	// frame keeps a simulation's write from stalling mid-frame and lets the
-	// kernel absorb a frame ahead of the fold pipeline; ForStudy derives
+	// kernel absorb a frame ahead of the fold pipeline; ForStudyCodec derives
 	// both from the study shape. Ignored by the in-memory network.
 	SendSockBytes int
 	RecvSockBytes int
 	// FrameBufBytes sizes the user-space bufio reader/writer wrapping each
-	// TCP connection (0 = 64 KiB). ForStudy sets it so a whole batched data
+	// TCP connection (0 = 64 KiB). ForStudyCodec sets it so a whole batched data
 	// frame is framed with one syscall when it fits the cap.
 	FrameBufBytes int
 }
@@ -122,7 +122,7 @@ func DefaultOptions() Options {
 	return Options{SendBuffer: 64, RecvBuffer: 1024, FrameBufBytes: 1 << 16}
 }
 
-// Socket and frame-buffer sizing bounds for ForStudy: at least the Go/bufio
+// Socket and frame-buffer sizing bounds for ForStudyCodec: at least the Go/bufio
 // conventional 64 KiB, at most 8 MiB (4 MiB for user-space frame buffers) so
 // a huge partition cannot pin unbounded per-connection memory.
 const (
@@ -130,18 +130,6 @@ const (
 	maxSockBytes    = 8 << 20
 	maxFrameBufSize = 4 << 20
 )
-
-// ForStudy returns Options with the per-connection buffers derived from the
-// study shape instead of the Go/OS defaults: one data frame carries
-// cells × (p+2) float64 fields per timestep and clients batch batchSteps
-// timesteps per frame (wire.DataBatch), so the socket buffers are sized to
-// hold a full frame (clamped to [64 KiB, 8 MiB]) and the user-space frame
-// buffers to one frame up to 4 MiB. cells should be the largest per-server-
-// process partition a connection will carry; non-positive inputs fall back
-// to 1 (p, batchSteps) or the defaults (cells).
-func ForStudy(cells, p, batchSteps int) Options {
-	return ForStudyCodec(cells, p, batchSteps, false)
-}
 
 // codecFrameDivisor is the planning ratio for codec-negotiated connections:
 // the delta-XOR+ZRLE codec measures ~1.7× on full-precision chaotic fields
@@ -151,10 +139,17 @@ func ForStudy(cells, p, batchSteps int) Options {
 // (the 64 KiB floors still absorb small frames either way).
 const codecFrameDivisor = 2
 
-// ForStudyCodec is ForStudy with the wire codec taken into account: when
-// codec is true the expected frame size is divided by the conservative
-// compression ratio the codec guarantees on typical fields, shrinking the
-// kernel and user-space buffers a codec-negotiated connection pins.
+// ForStudyCodec returns Options with the per-connection buffers derived
+// from the study shape instead of the Go/OS defaults: one data frame carries
+// cells × (p+2) float64 fields per timestep and clients batch batchSteps
+// timesteps per frame (wire.DataBatch), so the socket buffers are sized to
+// hold a full frame (clamped to [64 KiB, 8 MiB]) and the user-space frame
+// buffers to one frame up to 4 MiB. When codec is true the expected frame
+// size is divided by the conservative compression ratio the codec
+// guarantees on typical fields, shrinking the kernel and user-space buffers
+// a codec-negotiated connection pins. cells should be the largest
+// per-server-process partition a connection will carry; non-positive inputs
+// fall back to 1 (p, batchSteps) or the defaults (cells).
 func ForStudyCodec(cells, p, batchSteps int, codec bool) Options {
 	opts := DefaultOptions()
 	if cells <= 0 {

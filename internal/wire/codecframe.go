@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"melissa/internal/codec"
 	"melissa/internal/enc"
@@ -228,11 +229,18 @@ func (v *DataBatchCView) Parse(payload []byte) error {
 	if total != r.Remaining() {
 		return fmt.Errorf("wire: cbatch view: %d block bytes, %d remain", total, r.Remaining())
 	}
+	// Bytes per cell across the batch; ns and nf are bounded above, so only
+	// the per-range product with the cell count can overflow.
+	cellBytes := 8 * ns * nf
 	for i := 0; i < nr; i++ {
 		v.blockOff[i] = off
 		rc := v.rangeLo[i+1] - v.rangeLo[i]
+		if rc > math.MaxInt/cellBytes {
+			return fmt.Errorf("wire: cbatch view: range %d: %d steps x %d fields x %d cells overflow",
+				i, ns, nf, rc)
+		}
 		block := payload[off : off+v.blockLen[i]]
-		if err := codec.Validate(block, 8*ns*nf*rc); err != nil {
+		if err := codec.Validate(block, cellBytes*rc); err != nil {
 			return fmt.Errorf("wire: cbatch view: range %d: %w", i, err)
 		}
 		off += v.blockLen[i]

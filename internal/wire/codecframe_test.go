@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -188,4 +189,46 @@ func TestDataBatchCViewRejectsBadShapes(t *testing.T) {
 	if err := v.Parse(bad); err == nil {
 		t.Fatal("short range coverage accepted")
 	}
+}
+
+// TestBatchCViewRejectsWordOverflow: a frame whose steps × fields × cells
+// word count wraps the 64-bit byte length must be rejected at parse time,
+// not handed to a fold worker that sizes its scratch from RangeWords.
+func TestBatchCViewRejectsWordOverflow(t *testing.T) {
+	var v DataBatchCView
+	if err := v.Parse(overflowingBatchC()); err == nil {
+		t.Fatalf("overflowing frame parsed: range 0 claims %d words", v.RangeWords(0))
+	}
+}
+
+// overflowingBatchC builds a compressed frame whose steps × fields × cells
+// word count wraps the 64-bit byte length: 32769 steps × 65536 fields ×
+// 1073709057 cells is 2^61 + 2^16 words, so 8× it wraps to 2^19 bytes, and
+// the block is a valid encoding of exactly that many (all-zero) bytes. A
+// parser that multiplies without an overflow check accepts the frame and
+// then asks the fold worker for a 2^61-word scratch buffer.
+func overflowingBatchC() []byte {
+	const ns, nf, cells = 32769, 65536, 1073709057
+	const planeBytes = 1 << 16 // (8 · 2^61+2^16 words mod 2^64) / 8 planes
+	w := enc.NewWriter(0)
+	w.U8(uint8(TypeDataBatchC))
+	w.Int(0) // group
+	w.Int(0) // cellLo
+	w.Int(cells)
+	w.U32(ns)
+	for s := 0; s < ns; s++ {
+		w.Int(s)
+	}
+	w.U32(nf)
+	w.U32(1) // one range
+	w.U32(cells)
+	block := make([]byte, 8*planeBytes/128)
+	for i := range block {
+		block[i] = 0xff // a run of 128 zero bytes
+	}
+	var blen [4]byte
+	binary.LittleEndian.PutUint32(blen[:], uint32(len(block)))
+	w.Raw(blen[:])
+	w.Raw(block)
+	return append([]byte(nil), w.Bytes()...)
 }

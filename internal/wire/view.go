@@ -68,7 +68,7 @@ func (v *DataView) Parse(payload []byte) error {
 	}
 	// Bound the count by what the payload could physically hold before
 	// allocating offset storage: a crafted header must not OOM the parser.
-	if nf < 0 || nf > (len(payload)-dataHeaderSize)/fieldLenSize {
+	if nf <= 0 || nf > (len(payload)-dataHeaderSize)/fieldLenSize {
 		return fmt.Errorf("wire: data view: %d fields exceed payload", nf)
 	}
 	v.payload = payload

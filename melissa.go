@@ -140,13 +140,6 @@ type StudyConfig struct {
 	// CheckpointDir/CheckpointInterval enable server checkpoints.
 	CheckpointDir      string
 	CheckpointInterval time.Duration
-	// SyncCheckpoints selects the legacy quiesced checkpoint path: the
-	// server blocks its fold pipeline for the whole serialize+fsync instead
-	// of the default two-phase pipeline (per-shard snapshot copy on the fold
-	// workers, encode+fsync on a background writer overlapped with ingest).
-	// Both paths write byte-identical files; this is a debugging and
-	// benchmarking reference.
-	SyncCheckpoints bool
 	// ConvergenceTarget, when positive, stops the study once every Sobol'
 	// index is bracketed by a 95% confidence interval narrower than this
 	// (the loopback control of Sec. 3.4/4.1.5).
@@ -407,7 +400,6 @@ func RunStudy(cfg StudyConfig) (*FieldResult, StudyStats, error) {
 		GroupTimeout:        cfg.GroupTimeout,
 		CheckpointDir:       cfg.CheckpointDir,
 		CheckpointInterval:  cfg.CheckpointInterval,
-		SyncCheckpoints:     cfg.SyncCheckpoints,
 		ConvergenceTarget:   cfg.ConvergenceTarget,
 		MetricsAddr:         cfg.MetricsAddr,
 		Retry:               cfg.Retry,
